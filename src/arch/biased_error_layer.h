@@ -17,10 +17,10 @@ class BiasedErrorLayer final : public Layer {
       : Layer(lower), model_(physical_error_rate, bias, seed) {}
 
   void add(const Circuit& circuit) override {
-    if (bypass_) {
+    if (bypass_ || !model_.sample(circuit, num_qubits())) {
       lower().add(circuit);
     } else {
-      lower().add(model_.inject(circuit, num_qubits()));
+      lower().add(model_.apply(circuit));
     }
   }
 

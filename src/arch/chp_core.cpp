@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "circuit/bug_plant.h"
 #include "circuit/error.h"
 
 namespace qpf::arch {
@@ -43,8 +44,7 @@ void ChpCore::execute() {
       for (const Operation& op : slot) {
         switch (category(op.gate())) {
           case GateCategory::kInitialization:
-            tableau_->reset(op.qubit(0));
-            binary_[op.qubit(0)] = BinaryValue::kZero;
+            reset(op.qubit(0));
             break;
           case GateCategory::kMeasurement:
             binary_[op.qubit(0)] = tableau_->measure(op.qubit(0)).value
@@ -63,6 +63,27 @@ void ChpCore::execute() {
       }
     }
   }
+}
+
+void ChpCore::reset(Qubit q) {
+  // A qubit whose binary value is still its last readout (or reset) sits
+  // in that Z eigenstate: nothing since then has touched it but gates
+  // commuting with Z_q.  Tableau::reset would re-measure it — a
+  // deterministic measurement, which draws no randomness — and apply X
+  // on a 1, so at most the X remains.
+  switch (binary_[q]) {
+    case BinaryValue::kZero:
+      break;
+    case BinaryValue::kOne:
+      if (!plant::bug(16)) {  // mutation hook: the X after a 1 is dropped
+        tableau_->apply_x(q);
+      }
+      break;
+    case BinaryValue::kUnknown:
+      tableau_->reset(q);
+      break;
+  }
+  binary_[q] = BinaryValue::kZero;
 }
 
 BinaryState ChpCore::get_state() const { return binary_; }

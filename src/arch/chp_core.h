@@ -37,6 +37,9 @@ class ChpCore final : public Core {
   void load_state(journal::SnapshotReader& in) override;
 
  private:
+  /// Prepare |0> on qubit q.
+  void reset(Qubit q);
+
   std::uint64_t seed_;
   std::unique_ptr<stab::Tableau> tableau_;
   BinaryState binary_;

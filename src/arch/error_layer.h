@@ -1,7 +1,8 @@
 // ErrorLayer: injects symmetric depolarizing noise into every circuit
 // passing through (thesis §4.2.3, §5.3.1).  Sits directly above the
 // core so that everything physical — including Pauli corrections that
-// were not absorbed by a Pauli frame, and idle slots — is noisy.
+// were not absorbed by a Pauli frame, and idle slots — is noisy.  A
+// circuit that draws no fault is forwarded as itself.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +18,10 @@ class ErrorLayer final : public Layer {
       : Layer(lower), model_(physical_error_rate, seed) {}
 
   void add(const Circuit& circuit) override {
-    if (bypass_) {
+    if (bypass_ || !model_.sample(circuit, num_qubits())) {
       lower().add(circuit);
     } else {
-      lower().add(model_.inject(circuit, num_qubits()));
+      lower().add(model_.apply(circuit));
     }
   }
 

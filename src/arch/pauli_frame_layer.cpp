@@ -8,7 +8,11 @@ namespace qpf::arch {
 void PauliFrameLayer::add(const Circuit& circuit) {
   require_frame();
   const std::size_t uncorrectable_before = frame_->health().uncorrectable;
-  lower().add(frame_->process(circuit));
+  if (frame_->pass_through(circuit)) {
+    lower().add(circuit);
+  } else {
+    lower().add(frame_->process(circuit));
+  }
   if (frame_->health().uncorrectable > uncorrectable_before) {
     // Graceful degradation: a record was lost while rewriting this
     // circuit.  Flush the remaining records so the frame re-enters a

@@ -2,7 +2,9 @@
 //
 // Circuits passing down are rewritten by the frame (Pauli gates
 // absorbed, Clifford gates mapped, non-Clifford flushes inserted); the
-// binary state coming back up is corrected per Table 3.2.
+// binary state coming back up is corrected per Table 3.2.  A circuit
+// with nothing to rewrite (no Pauli, no non-Clifford gate — every ESM
+// round) only updates the records and is forwarded as itself.
 //
 // The bypass flag is deliberately ignored here: the records must stay
 // consistent with every circuit that reaches the qubits, so even the

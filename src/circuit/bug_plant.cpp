@@ -82,6 +82,9 @@ const char* describe(int n) noexcept {
       return "executor-commit-reorder: the deterministic executor commits "
              "results in completion-arrival order instead of task-index "
              "order, so parallel output bytes depend on scheduling";
+    case 16:
+      return "chp-reset-skip-x: the core's known-state reset drops the X "
+             "when the qubit's last readout was 1, leaving it in |1>";
     default:
       return "?";
   }

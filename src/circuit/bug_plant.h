@@ -14,7 +14,7 @@
 namespace qpf::plant {
 
 /// Number of catalogued bugs; valid plant ids are 1..kCount.
-inline constexpr int kCount = 15;
+inline constexpr int kCount = 16;
 
 /// The active planted bug: 0 when clean, 1..kCount when planted.
 /// Reads QPF_PLANT_BUG from the environment once (first call) unless

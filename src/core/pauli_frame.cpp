@@ -244,6 +244,36 @@ Circuit PauliFrame::process(const Circuit& circuit) {
   return out;
 }
 
+bool PauliFrame::pass_through(const Circuit& circuit) {
+  for (const TimeSlot& slot : circuit) {
+    for (const Operation& op : slot) {
+      const GateCategory c = category(op.gate());
+      if (c == GateCategory::kPauli || c == GateCategory::kNonClifford) {
+        return false;
+      }
+    }
+  }
+  const std::size_t slots = circuit.num_slots();
+  const std::size_t gates = circuit.num_operations();
+  stats_.input_slots += slots;
+  stats_.input_gates += gates;
+  for (const TimeSlot& slot : circuit) {
+    for (const Operation& op : slot) {
+      // The record updates of process(), hooks included.
+      if (category(op.gate()) == GateCategory::kInitialization) {
+        if (!plant::bug(5)) {  // mutation hook: reset keeps the record
+          store(op.qubit(0), PauliRecord::kI);
+        }
+      } else if (category(op.gate()) == GateCategory::kClifford) {
+        apply_clifford(op);
+      }
+    }
+  }
+  stats_.output_slots += slots;
+  stats_.output_gates += gates;
+  return true;
+}
+
 namespace {
 
 void write_bank(journal::SnapshotWriter& out,

@@ -119,6 +119,14 @@ class PauliFrame {
   /// (those are the "saved time slots").
   [[nodiscard]] Circuit process(const Circuit& circuit);
 
+  /// Fast path of process() for a circuit made only of preparations,
+  /// measurements and Clifford gates, which process() returns
+  /// unchanged.  Updates the records, FrameStats and FrameHealth exactly
+  /// as process() would and returns true; the caller then forwards
+  /// `circuit` itself.  Returns false, touching nothing, when the
+  /// circuit holds a Pauli or non-Clifford gate.
+  [[nodiscard]] bool pass_through(const Circuit& circuit);
+
   /// Correct a raw measurement bit using qubit q's record (Table 3.2).
   [[nodiscard]] bool correct_measurement(Qubit q, bool raw) const {
     return map_measurement(load(q), raw);

@@ -473,6 +473,85 @@ OracleOutcome check_sampling(const Circuit& measured, std::uint64_t seed,
   return OracleOutcome::pass();
 }
 
+// --- chp-reset --------------------------------------------------------
+
+namespace {
+
+/// Run `program` slot by slot on ChpCore and on a raw tableau seeded
+/// alike; every readout and, at the end, every tableau row must agree.
+OracleOutcome compare_core_to_tableau(const Circuit& program, std::size_t n,
+                                      std::uint64_t seed, const char* what) {
+  arch::ChpCore core(seed);
+  core.create_qubits(n);
+  stab::Tableau reference(n, seed);
+  for (std::size_t s = 0; s < program.num_slots(); ++s) {
+    Circuit step;
+    step.append_slot(program.slots()[s]);
+    arch::run(core, step);
+    reference.execute(step);
+    const std::vector<stab::MeasureResult> readouts =
+        reference.take_measurements();
+    const BinaryState state = core.get_state();
+    std::size_t k = 0;
+    for (const Operation& op : program.slots()[s]) {
+      if (op.gate() != GateType::kMeasureZ) {
+        continue;
+      }
+      const bool want = readouts.at(k++).value;
+      const bool got = state.at(op.qubit(0)) == BinaryValue::kOne;
+      if (got != want) {
+        std::ostringstream why;
+        why << what << ": slot " << s << " reads qubit " << op.qubit(0)
+            << " as " << got << " on ChpCore but " << want
+            << " on the tableau";
+        return OracleOutcome::fail(why.str());
+      }
+    }
+  }
+  const stab::Tableau& fast = *core.tableau();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!(fast.stabilizer(i) == reference.stabilizer(i)) ||
+        !(fast.destabilizer(i) == reference.destabilizer(i))) {
+      std::ostringstream why;
+      why << what << ": generator " << i << " differs: ChpCore "
+          << fast.stabilizer(i).str() << " vs tableau "
+          << reference.stabilizer(i).str();
+      return OracleOutcome::fail(why.str());
+    }
+  }
+  return OracleOutcome::pass();
+}
+
+}  // namespace
+
+OracleOutcome check_chp_reset(const Circuit& measured, std::uint64_t seed,
+                              const OracleTuning& tuning) {
+  (void)tuning;
+  const std::size_t n = register_size(measured, 2);
+  const std::uint64_t core_seed = derive_seed(seed, label_hash("chp-reset"));
+  const OracleOutcome plain =
+      compare_core_to_tableau(measured, n, core_seed, "measured circuit");
+  if (!plain.passed) {
+    return plain;
+  }
+  // Reset-heavy variant: every slot is followed by a readout and a
+  // re-preparation of every qubit, so each reset meets a fresh readout.
+  TimeSlot measure_all;
+  TimeSlot prep_all;
+  for (std::size_t q = 0; q < n; ++q) {
+    measure_all.add(Operation{GateType::kMeasureZ, static_cast<Qubit>(q)});
+    prep_all.add(Operation{GateType::kPrepZ, static_cast<Qubit>(q)});
+  }
+  Circuit stressed;
+  for (const TimeSlot& slot : measured) {
+    stressed.append_slot(slot);
+    stressed.append_slot(measure_all);
+    stressed.append_slot(prep_all);
+  }
+  return compare_core_to_tableau(stressed, n, core_seed,
+                                 "measure + reset after every slot");
+}
+
 // --- backend-diff -----------------------------------------------------
 
 OracleOutcome check_backend_diff(const Circuit& unitary, std::uint64_t seed,
@@ -1465,6 +1544,7 @@ const std::vector<OracleSpec>& all_oracles() {
       {"mirror-chp", CircuitKind::kUnitary, check_mirror_chp, false},
       {"mirror-qx", CircuitKind::kUnitaryT, check_mirror_qx, false},
       {"sampling", CircuitKind::kMeasured, check_sampling, false},
+      {"chp-reset", CircuitKind::kMeasured, check_chp_reset, false},
       {"backend-diff", CircuitKind::kUnitary, check_backend_diff, false},
       {"metamorphic", CircuitKind::kUnitary, check_metamorphic_injection,
        false},

@@ -22,6 +22,13 @@
 //                 with the frame on and off.
 //   sampling    — frame-on vs frame-off outcome statistics on circuits
 //                 with mid-circuit measurement, fixed seed chain.
+//   chp-reset   — ChpCore vs the raw stabilizer tableau, seeded alike,
+//                 on circuits with mid-circuit measurement — as is and
+//                 with a readout + re-preparation of every qubit after
+//                 each slot: every readout and every tableau row must
+//                 match exactly.  The core resets a qubit whose last
+//                 readout is still current with at most an X instead of
+//                 Tableau::reset's deterministic re-measurement.
 //   backend-diff— chp vs qx outcome statistics, frame off: the only
 //                 oracle sensitive to mis-signed tableau rows (sign
 //                 errors pair-cancel through mirrors and hit both
@@ -132,6 +139,9 @@ enum class CircuitKind : std::uint8_t {
 [[nodiscard]] OracleOutcome check_sampling(const Circuit& measured,
                                            std::uint64_t seed,
                                            const OracleTuning& tuning);
+[[nodiscard]] OracleOutcome check_chp_reset(const Circuit& measured,
+                                            std::uint64_t seed,
+                                            const OracleTuning& tuning);
 [[nodiscard]] OracleOutcome check_backend_diff(const Circuit& unitary,
                                                std::uint64_t seed,
                                                const OracleTuning& tuning);

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "circuit/error.h"
-#include <vector>
 
 namespace qpf::qec {
 
@@ -12,6 +11,7 @@ BiasedNoiseModel::BiasedNoiseModel(double p, double eta, std::uint64_t seed)
       eta_(eta),
       px_(p / (2.0 * (eta + 1.0))),
       pz_(p * eta / (eta + 1.0)),
+      flip_(p),
       rng_(seed) {
   if (p < 0.0 || p > 1.0) {
     throw StackConfigError("BiasedNoiseModel", "p out of [0,1]");
@@ -21,13 +21,9 @@ BiasedNoiseModel::BiasedNoiseModel(double p, double eta, std::uint64_t seed)
   }
 }
 
-bool BiasedNoiseModel::flip(double probability) {
-  return uniform_(rng_) < probability;
-}
-
-GateType BiasedNoiseModel::biased_pauli() {
+GateType BiasedNoiseModel::pauli() {
   // Conditional weights given an error: X : Y : Z = px : px : pz.
-  const double u = uniform_(rng_) * (2.0 * px_ + pz_);
+  const double u = canonical_double(rng_()) * (2.0 * px_ + pz_);
   if (u < px_) {
     return GateType::kX;
   }
@@ -37,70 +33,29 @@ GateType BiasedNoiseModel::biased_pauli() {
   return GateType::kZ;
 }
 
-Circuit BiasedNoiseModel::inject(const Circuit& circuit,
-                                 std::size_t num_qubits) {
+std::pair<GateType, GateType> BiasedNoiseModel::pair() {
+  // At least one operand faults; each side independently draws
+  // identity with the complementary weight.
+  GateType first = GateType::kI;
+  GateType second = GateType::kI;
+  while (first == GateType::kI && second == GateType::kI) {
+    first = half_(rng_) ? pauli() : GateType::kI;
+    second = half_(rng_) ? pauli() : GateType::kI;
+  }
+  return {first, second};
+}
+
+bool BiasedNoiseModel::sample(const Circuit& circuit,
+                              std::size_t num_qubits) {
   if (circuit.min_register_size() > num_qubits) {
     throw StackConfigError("BiasedNoiseModel", "register too small");
   }
-  Circuit out{circuit.name()};
-  for (const TimeSlot& slot : circuit) {
-    TimeSlot pre;
-    TimeSlot post;
-    std::vector<bool> busy(num_qubits, false);
-    for (const Operation& op : slot) {
-      for (int i = 0; i < op.arity(); ++i) {
-        busy[op.qubit(i)] = true;
-      }
-      switch (category(op.gate())) {
-        case GateCategory::kMeasurement:
-          if (flip(p_)) {
-            pre.add(Operation{GateType::kX, op.qubit(0)});
-            ++tally_.measurement_flips;
-          }
-          break;
-        case GateCategory::kInitialization:
-          if (flip(p_)) {
-            post.add(Operation{biased_pauli(), op.qubit(0)});
-            ++tally_.single_qubit;
-          }
-          break;
-        default:
-          if (op.arity() == 1) {
-            if (flip(p_)) {
-              post.add(Operation{biased_pauli(), op.qubit(0)});
-              ++tally_.single_qubit;
-            }
-          } else if (flip(p_)) {
-            // At least one operand faults; each side independently
-            // draws identity with the complementary weight.
-            GateType first = GateType::kI;
-            GateType second = GateType::kI;
-            while (first == GateType::kI && second == GateType::kI) {
-              first = flip(0.5) ? biased_pauli() : GateType::kI;
-              second = flip(0.5) ? biased_pauli() : GateType::kI;
-            }
-            if (first != GateType::kI) {
-              post.add(Operation{first, op.qubit(0)});
-            }
-            if (second != GateType::kI) {
-              post.add(Operation{second, op.qubit(1)});
-            }
-            ++tally_.two_qubit;
-          }
-          break;
-      }
-    }
-    for (Qubit q = 0; q < num_qubits; ++q) {
-      if (!busy[q] && flip(p_)) {
-        post.add(Operation{biased_pauli(), q});
-        ++tally_.idle;
-      }
-    }
-    out.append_slot(std::move(pre));
-    out.append_slot(slot);
-    out.append_slot(std::move(post));
-  }
-  return out;
+  return plan_.sample(circuit, num_qubits, *this, tally_);
+}
+
+Circuit BiasedNoiseModel::inject(const Circuit& circuit,
+                                 std::size_t num_qubits) {
+  return sample(circuit, num_qubits) ? apply(circuit) : circuit;
 }
 
 void BiasedNoiseModel::save(journal::SnapshotWriter& out) const {
@@ -122,7 +77,6 @@ void BiasedNoiseModel::load(journal::SnapshotReader& in) {
     throw CheckpointError("biased noise snapshot: rate / bias mismatch");
   }
   rng_ = in.read_rng();
-  uniform_.reset();
   tally_.single_qubit = in.read_size();
   tally_.two_qubit = in.read_size();
   tally_.measurement_flips = in.read_size();

@@ -15,9 +15,11 @@
 
 #include <cstdint>
 #include <random>
+#include <utility>
 
 #include "circuit/circuit.h"
-#include "qec/depolarizing.h"  // ErrorTally
+#include "journal/snapshot.h"
+#include "qec/fault_sampler.h"
 
 namespace qpf::qec {
 
@@ -40,6 +42,16 @@ class BiasedNoiseModel {
   [[nodiscard]] Circuit inject(const Circuit& circuit,
                                std::size_t num_qubits);
 
+  /// Draw and tally the faults for `circuit`, as inject() does; true
+  /// when at least one fired (see DepolarizingModel::sample).
+  [[nodiscard]] bool sample(const Circuit& circuit, std::size_t num_qubits);
+
+  /// `circuit`, the one last passed to sample(), with its faults
+  /// inserted.
+  [[nodiscard]] Circuit apply(const Circuit& circuit) const {
+    return plan_.apply(circuit);
+  }
+
   [[nodiscard]] const ErrorTally& tally() const noexcept { return tally_; }
   void reset_tally() noexcept { tally_ = {}; }
 
@@ -53,18 +65,25 @@ class BiasedNoiseModel {
   void load(journal::SnapshotReader& in);
 
  private:
+  friend class FaultPlan;
+  /// FaultPlan's draws: a fault at this location?
+  [[nodiscard]] bool fires() { return flip_(rng_); }
   /// Draw a Pauli conditioned on "an error happened": X/Y/Z with the
   /// biased conditional weights.
-  [[nodiscard]] GateType biased_pauli();
-  [[nodiscard]] bool flip(double probability);
+  [[nodiscard]] GateType pauli();
+  /// A two-qubit fault: independent biased Paulis on each operand,
+  /// conditioned on at least one being non-identity.
+  [[nodiscard]] std::pair<GateType, GateType> pair();
 
   double p_;
   double eta_;
   double px_;
   double pz_;
+  Bernoulli flip_;
+  Bernoulli half_{0.5};
   std::mt19937_64 rng_;
-  std::uniform_real_distribution<double> uniform_{0.0, 1.0};
   ErrorTally tally_;
+  FaultPlan plan_;
 };
 
 }  // namespace qpf::qec

@@ -3,94 +3,44 @@
 #include <stdexcept>
 
 #include "circuit/error.h"
-#include <vector>
 
 namespace qpf::qec {
 
 DepolarizingModel::DepolarizingModel(double p, std::uint64_t seed)
-    : p_(p), rng_(seed) {
+    : p_(p), flip_(p), rng_(seed) {
   if (p < 0.0 || p > 1.0) {
     throw StackConfigError("DepolarizingModel", "p out of [0,1]");
   }
 }
 
-GateType DepolarizingModel::random_pauli() {
+GateType DepolarizingModel::pauli() {
   static constexpr GateType kPaulis[] = {GateType::kX, GateType::kY,
                                          GateType::kZ};
   std::uniform_int_distribution<int> dist(0, 2);
   return kPaulis[dist(rng_)];
 }
 
-bool DepolarizingModel::flip(double probability) {
-  return uniform_(rng_) < probability;
+std::pair<GateType, GateType> DepolarizingModel::pair() {
+  // Draw a combined index 1..15 and split it into two one-qubit Paulis
+  // (I allowed on one side but not both).
+  std::uniform_int_distribution<int> dist(1, 15);
+  const int combo = dist(rng_);
+  static constexpr GateType kOneQubit[] = {GateType::kI, GateType::kX,
+                                           GateType::kY, GateType::kZ};
+  return {kOneQubit[combo / 4], kOneQubit[combo % 4]};
+}
+
+bool DepolarizingModel::sample(const Circuit& circuit,
+                               std::size_t num_qubits) {
+  if (circuit.min_register_size() > num_qubits) {
+    throw StackConfigError("DepolarizingModel", "register too small");
+  }
+  return plan_.sample(circuit, num_qubits, *this, tally_);
 }
 
 Circuit DepolarizingModel::inject(const Circuit& circuit,
                                   std::size_t num_qubits) {
-  if (circuit.min_register_size() > num_qubits) {
-    throw StackConfigError("DepolarizingModel", "register too small");
-  }
-  Circuit out{circuit.name()};
-  for (const TimeSlot& slot : circuit) {
-    TimeSlot pre;   // X flips ahead of measurements
-    TimeSlot post;  // gate and idle errors after the slot
-    std::vector<bool> busy(num_qubits, false);
-    for (const Operation& op : slot) {
-      for (int i = 0; i < op.arity(); ++i) {
-        busy[op.qubit(i)] = true;
-      }
-      switch (category(op.gate())) {
-        case GateCategory::kMeasurement:
-          if (flip(p_)) {
-            pre.add(Operation{GateType::kX, op.qubit(0)});
-            ++tally_.measurement_flips;
-          }
-          break;
-        case GateCategory::kInitialization:
-          if (flip(p_)) {
-            post.add(Operation{random_pauli(), op.qubit(0)});
-            ++tally_.single_qubit;
-          }
-          break;
-        default:
-          if (op.arity() == 1) {
-            if (flip(p_)) {
-              post.add(Operation{random_pauli(), op.qubit(0)});
-              ++tally_.single_qubit;
-            }
-          } else if (flip(p_)) {
-            // One of the 15 non-identity pairs, uniformly: draw a
-            // combined index 1..15 and split into two one-qubit Paulis
-            // (I allowed on one side but not both).
-            std::uniform_int_distribution<int> dist(1, 15);
-            const int combo = dist(rng_);
-            static constexpr GateType kOneQubit[] = {
-                GateType::kI, GateType::kX, GateType::kY, GateType::kZ};
-            const GateType first = kOneQubit[combo / 4];
-            const GateType second = kOneQubit[combo % 4];
-            if (first != GateType::kI) {
-              post.add(Operation{first, op.qubit(0)});
-            }
-            if (second != GateType::kI) {
-              post.add(Operation{second, op.qubit(1)});
-            }
-            ++tally_.two_qubit;
-          }
-          break;
-      }
-    }
-    // Idle errors: every untouched qubit executes an identity gate.
-    for (Qubit q = 0; q < num_qubits; ++q) {
-      if (!busy[q] && flip(p_)) {
-        post.add(Operation{random_pauli(), q});
-        ++tally_.idle;
-      }
-    }
-    out.append_slot(std::move(pre));
-    out.append_slot(slot);
-    out.append_slot(std::move(post));
-  }
-  return out;
+  return sample(circuit, num_qubits) ? apply(circuit) : circuit;
 }
 
 void DepolarizingModel::save(journal::SnapshotWriter& out) const {
@@ -112,7 +62,6 @@ void DepolarizingModel::load(journal::SnapshotReader& in) {
         std::to_string(p) + ", configured " + std::to_string(p_) + ")");
   }
   rng_ = in.read_rng();
-  uniform_.reset();
   tally_.single_qubit = in.read_size();
   tally_.two_qubit = in.read_size();
   tally_.measurement_flips = in.read_size();

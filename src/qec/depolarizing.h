@@ -11,23 +11,13 @@
 
 #include <cstdint>
 #include <random>
+#include <utility>
 
 #include "circuit/circuit.h"
 #include "journal/snapshot.h"
+#include "qec/fault_sampler.h"
 
 namespace qpf::qec {
-
-/// Tally of injected faults, for diagnostics and tests.
-struct ErrorTally {
-  std::size_t single_qubit = 0;
-  std::size_t two_qubit = 0;
-  std::size_t measurement_flips = 0;
-  std::size_t idle = 0;
-
-  [[nodiscard]] std::size_t total() const noexcept {
-    return single_qubit + two_qubit + measurement_flips + idle;
-  }
-};
 
 class DepolarizingModel {
  public:
@@ -38,9 +28,21 @@ class DepolarizingModel {
 
   /// Rewrite a circuit with sampled faults inserted.  `num_qubits` is
   /// the register size, needed to charge idle errors to untouched
-  /// qubits in every slot.
+  /// qubits in every slot.  Equivalent to sample() followed by apply()
+  /// (a copy of `circuit` when nothing fired).
   [[nodiscard]] Circuit inject(const Circuit& circuit,
                                std::size_t num_qubits);
+
+  /// Draw the faults for `circuit` — the same RNG draws, in the same
+  /// order, as inject() — and tally them.  Returns true when at least
+  /// one fired; otherwise the noisy circuit is `circuit` itself.
+  [[nodiscard]] bool sample(const Circuit& circuit, std::size_t num_qubits);
+
+  /// `circuit`, the one last passed to sample(), with its faults
+  /// inserted.
+  [[nodiscard]] Circuit apply(const Circuit& circuit) const {
+    return plan_.apply(circuit);
+  }
 
   [[nodiscard]] const ErrorTally& tally() const noexcept { return tally_; }
   void reset_tally() noexcept { tally_ = {}; }
@@ -55,14 +57,19 @@ class DepolarizingModel {
   void load(journal::SnapshotReader& in);
 
  private:
+  friend class FaultPlan;
+  /// FaultPlan's draws: a fault at this location?
+  [[nodiscard]] bool fires() { return flip_(rng_); }
   /// Uniformly pick X, Y or Z.
-  [[nodiscard]] GateType random_pauli();
-  [[nodiscard]] bool flip(double probability);
+  [[nodiscard]] GateType pauli();
+  /// One of the 15 non-identity two-qubit Paulis, uniformly.
+  [[nodiscard]] std::pair<GateType, GateType> pair();
 
   double p_;
+  Bernoulli flip_;
   std::mt19937_64 rng_;
-  std::uniform_real_distribution<double> uniform_{0.0, 1.0};
   ErrorTally tally_;
+  FaultPlan plan_;
 };
 
 }  // namespace qpf::qec

@@ -66,6 +66,15 @@ NinjaStar::NinjaStar(Qubit base, const Sc17Layout* layout)
   if (layout == nullptr) {
     throw std::invalid_argument("NinjaStar: null layout");
   }
+  for (const Orientation orientation :
+       {Orientation::kNormal, Orientation::kRotated}) {
+    for (const DanceMode dance : {DanceMode::kAll, DanceMode::kZOnly}) {
+      Esm& variant = esm_[static_cast<std::size_t>(orientation) * 2 +
+                          static_cast<std::size_t>(dance)];
+      variant.circuit = layout_->esm_circuit(base_, orientation, dance);
+      variant.order = layout_->esm_measurement_order(orientation, dance);
+    }
+  }
 }
 
 Circuit NinjaStar::reset_circuit() const {
@@ -116,14 +125,6 @@ Circuit NinjaStar::measure_circuit() const {
   }
   circuit.append_slot(std::move(slot));
   return circuit;
-}
-
-Circuit NinjaStar::esm_circuit() const {
-  return layout_->esm_circuit(base_, orientation_, dance_);
-}
-
-std::vector<int> NinjaStar::esm_measurement_order() const {
-  return layout_->esm_measurement_order(orientation_, dance_);
 }
 
 Circuit NinjaStar::logical_stabilizer_circuit(CheckType basis) const {

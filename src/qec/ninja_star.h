@@ -58,10 +58,15 @@ class NinjaStar {
   [[nodiscard]] Circuit logical_h_circuit() const;
   /// Transversal measurement of all nine data qubits.
   [[nodiscard]] Circuit measure_circuit() const;
-  /// One ESM round in the current orientation and dance mode.
-  [[nodiscard]] Circuit esm_circuit() const;
+  /// One ESM round in the current orientation and dance mode.  The
+  /// four variants are built once, when the star is constructed.
+  [[nodiscard]] const Circuit& esm_circuit() const noexcept {
+    return esm().circuit;
+  }
   /// Ancilla measurement order of esm_circuit() (local indices).
-  [[nodiscard]] std::vector<int> esm_measurement_order() const;
+  [[nodiscard]] const std::vector<int>& esm_measurement_order() const noexcept {
+    return esm().order;
+  }
   /// Fig 5.10 logical-error detection circuit (borrow local ancilla 0).
   [[nodiscard]] Circuit logical_stabilizer_circuit(CheckType basis) const;
 
@@ -153,6 +158,16 @@ class NinjaStar {
   void load(journal::SnapshotReader& in);
 
  private:
+  /// One ESM round variant and its ancilla measurement order.
+  struct Esm {
+    Circuit circuit;
+    std::vector<int> order;
+  };
+  [[nodiscard]] const Esm& esm() const noexcept {
+    return esm_[static_cast<std::size_t>(orientation_) * 2 +
+                static_cast<std::size_t>(dance_)];
+  }
+
   /// Checks whose effective type equals t, in ascending ancilla order.
   [[nodiscard]] std::array<const Check*, 4> group(CheckType t) const;
   /// Extract a 4-bit group syndrome from an 8-bit word.
@@ -169,6 +184,7 @@ class NinjaStar {
   LutDecoder lut_high_;  // ancillas 4..7 (Z checks in normal orientation)
   LutDecoder lut_low_injection_;   // Z fixes commuting with X_L
   LutDecoder lut_high_injection_;  // X fixes commuting with Z_L
+  std::array<Esm, 4> esm_;  // indexed by orientation * 2 + dance mode
 };
 
 }  // namespace qpf::qec

@@ -38,6 +38,7 @@
 // Quantum error correction.
 #include "qec/biased_noise.h"
 #include "qec/depolarizing.h"
+#include "qec/fault_sampler.h"
 #include "qec/lattice_surgery.h"
 #include "qec/lut_decoder.h"
 #include "qec/ninja_star.h"

@@ -24,6 +24,7 @@ Tableau::Tableau(std::size_t num_qubits, std::uint64_t seed)
   rs_.assign(cw_, 0);
   phase_lo_.assign(cw_, 0);
   phase_hi_.assign(cw_, 0);
+  targets_.assign(cw_, 0);
   for (std::size_t i = 0; i < n_; ++i) {
     set_x_bit(i, i, true);        // destabilizer i = X_i
     set_z_bit(n_ + i, i, true);   // stabilizer i   = Z_i
@@ -366,12 +367,11 @@ MeasureResult Tableau::measure(Qubit q) {
   if (random) {
     // Broadcast rowsum: every other row with an X at q absorbs row p.
     // The target mask is exactly X column q over live rows, minus p.
-    std::vector<std::uint64_t> targets(cw_);
     for (std::size_t w = 0; w < cw_; ++w) {
-      targets[w] = xq[w] & range_mask(w, 0, 2 * n_);
+      targets_[w] = xq[w] & range_mask(w, 0, 2 * n_);
     }
-    targets[p / kWordBits] &= ~(std::uint64_t{1} << (p % kWordBits));
-    rowsum_batch(targets.data(), p);
+    targets_[p / kWordBits] &= ~(std::uint64_t{1} << (p % kWordBits));
+    rowsum_batch(targets_.data(), p);
     // Destabilizer p-n := old stabilizer p; stabilizer p := +/- Z_q.
     const std::size_t d = p - n_;
     for (std::size_t c = 0; c < n_; ++c) {

@@ -146,6 +146,8 @@ class Tableau {
   // Scratch for rowsum_batch's bit-sliced phase counters (mod 4).
   std::vector<std::uint64_t> phase_lo_;
   std::vector<std::uint64_t> phase_hi_;
+  // Scratch for measure()'s broadcast-rowsum target mask.
+  std::vector<std::uint64_t> targets_;
   std::mt19937_64 rng_;
   std::vector<MeasureResult> measurements_;
 };

@@ -66,6 +66,8 @@ std::vector<std::string> expected_oracles(int bug) {
       return {"net-fault"};
     case 15:  // executor commits results in arrival order
       return {"executor-determinism"};
+    case 16:  // core's known-state reset drops the X after a 1
+      return {"chp-reset"};
     default:
       return {};
   }

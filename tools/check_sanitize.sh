@@ -10,8 +10,9 @@
 #
 # Pass QPF_SANITIZE_FILTER to override the test selection; by default
 # only the fault/robustness and fuzz suites run (ASan) or the
-# threaded-campaign and fuzz suites (TSan), which keeps the sanitized
-# run fast while still covering every new mutation path.
+# threaded-campaign and fuzz suites (TSan), plus the fast single-shot
+# window's slow-reference and golden-pin suites (both), which keeps the
+# sanitized run fast while still covering every new mutation path.
 set -euo pipefail
 
 trap 'exit 130' INT
@@ -22,10 +23,10 @@ mode=${QPF_SANITIZE:-ON}
 
 if [ "$mode" = "thread" ]; then
   build_dir=${1:-"$repo_root/build-tsan"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|LerGolden|FastPath|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
 else
   build_dir=${1:-"$repo_root/build-sanitize"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|LerGolden|FastPath|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
 fi
 
 cmake -B "$build_dir" -S "$repo_root" -DQPF_SANITIZE="$mode"
