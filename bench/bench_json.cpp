@@ -5,6 +5,8 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "cli/args.h"
+#include "exec/executor.h"
 #include "ler_common.h"
 
 namespace qpf::bench {
@@ -140,7 +142,7 @@ void write_bench_report(const std::string& path, const BenchReport& report) {
 BenchCli::BenchCli(std::string name, int argc, char** argv,
                    std::size_t default_jobs) {
   report.name = std::move(name);
-  jobs_ = resolve_jobs(default_jobs);
+  jobs_ = exec::resolve_jobs(default_jobs);
   for (int i = 1; i < argc; ++i) {
     const std::string argument = argv[i];
     const auto value_of = [&](const std::string& flag,
@@ -160,13 +162,12 @@ BenchCli::BenchCli(std::string name, int argc, char** argv,
     if (value_of("--json", value)) {
       json_path_ = value;
     } else if (value_of("--jobs", value)) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+      const std::optional<std::uint64_t> parsed = cli::parse_count(value);
+      if (!parsed) {
         std::cerr << report.name << ": bad --jobs value '" << value << "'\n";
         std::exit(2);
       }
-      jobs_ = resolve_jobs(static_cast<std::size_t>(parsed));
+      jobs_ = exec::resolve_jobs(static_cast<std::size_t>(*parsed));
     } else if (argument == "--help") {
       std::cout << report.name
                 << " [--json PATH] [--jobs N]\n"

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 
+#include "cli/args.h"
 #include "exec/executor.h"
 #include "journal/run_journal.h"
 #include "stats/summary.h"
@@ -123,29 +124,8 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-LerRun run_ler(const LerConfig& config) {
-  LerTrial trial(config);
-  const Clock::time_point start = Clock::now();
-  bool timed_out = false;
-  while (!trial.done()) {
-    if (config.timeout_per_trial_ms != 0 &&
-        elapsed_ms(start) >= config.timeout_per_trial_ms) {
-      timed_out = true;
-      break;
-    }
-    trial.step();
-  }
-  LerRun run = trial.result();
-  run.timed_out = timed_out;
-  return run;
-}
-
 std::uint64_t next_trial_seed(std::uint64_t seed) noexcept {
   return seed * 6364136223846793005ULL + 1442695040888963407ULL;
-}
-
-std::size_t resolve_jobs(std::size_t jobs) noexcept {
-  return exec::resolve_jobs(jobs);
 }
 
 LerPoint run_ler_point(LerConfig config, std::size_t runs, std::size_t jobs) {
@@ -236,33 +216,6 @@ void make_directory(const std::string& path) {
   return true;
 }
 
-struct TrialSample {
-  std::size_t windows = 0;
-  std::size_t logical_errors = 0;
-  double saved_gates = 0.0;
-  double saved_slots = 0.0;
-  bool timed_out = false;
-  std::size_t faults_recovered = 0;
-  std::size_t fault_episodes = 0;
-  std::size_t deadline_overruns = 0;
-  std::size_t decodes_skipped = 0;
-};
-
-[[nodiscard]] TrialSample sample_from_run(const LerRun& run,
-                                          bool timed_out) {
-  TrialSample sample;
-  sample.windows = run.windows;
-  sample.logical_errors = run.logical_errors;
-  sample.saved_gates = run.saved_gates_fraction;
-  sample.saved_slots = run.saved_slots_fraction;
-  sample.timed_out = timed_out;
-  sample.faults_recovered = run.faults_recovered;
-  sample.fault_episodes = run.fault_episodes;
-  sample.deadline_overruns = run.deadline_overruns;
-  sample.decodes_skipped = run.decodes_skipped;
-  return sample;
-}
-
 void write_trial_checkpoint(const std::string& path, std::size_t trial,
                             const LerTrial& active) {
   journal::SnapshotWriter out;
@@ -287,7 +240,7 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
     seeds[i] = cursor;
   }
 
-  std::vector<TrialSample> samples;
+  std::vector<LerRun> runs;
   if (durable) {
     make_directory(options.state_dir);
     const std::string journal_path = options.state_dir + "/journal.jsonl";
@@ -304,39 +257,38 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
       for (std::size_t i = 1; i < entries.size(); ++i) {
         const journal::JournalEntry& entry = entries[i];
         if (entry.get("kind") != "trial" ||
-            entry.get_u64("trial") != samples.size() ||
-            samples.size() >= options.runs) {
+            entry.get_u64("trial") != runs.size() ||
+            runs.size() >= options.runs) {
           continue;
         }
-        TrialSample sample;
-        sample.windows = entry.get_u64("windows");
-        sample.logical_errors = entry.get_u64("logical_errors");
-        sample.saved_gates = entry.get_double("saved_gates");
-        sample.saved_slots = entry.get_double("saved_slots");
-        sample.timed_out = entry.get_u64("timed_out") != 0;
-        sample.faults_recovered = entry.get_u64("recovered");
-        sample.fault_episodes = entry.get_u64("episodes");
-        sample.deadline_overruns = entry.get_u64("overruns");
-        sample.decodes_skipped = entry.get_u64("skipped_decodes");
-        if (sample.timed_out) {
+        LerRun run;
+        run.windows = entry.get_u64("windows");
+        run.logical_errors = entry.get_u64("logical_errors");
+        run.saved_gates_fraction = entry.get_double("saved_gates");
+        run.saved_slots_fraction = entry.get_double("saved_slots");
+        run.timed_out = entry.get_u64("timed_out") != 0;
+        run.faults_recovered = entry.get_u64("recovered");
+        run.fault_episodes = entry.get_u64("episodes");
+        run.deadline_overruns = entry.get_u64("overruns");
+        run.decodes_skipped = entry.get_u64("skipped_decodes");
+        if (run.timed_out) {
           ++result.trials_timed_out;
         }
-        samples.push_back(sample);
+        runs.push_back(run);
       }
     }
-    result.trials_from_journal = samples.size();
+    result.trials_from_journal = runs.size();
     log = std::make_unique<journal::RunJournal>(journal_path);
     if (entries.empty()) {
       log->append(config_entry(options));
     }
   }
 
-  const std::size_t start_trial = samples.size();
+  const std::size_t start_trial = runs.size();
 
-  // Mid-trial checkpoint preload for the first trial still to run,
-  // shared by both engines.  Heap-allocated: LerStack's layers hold
-  // pointers into each other, so a trial is rebuilt (never moved) when
-  // a load fails.
+  // Mid-trial checkpoint preload for the first trial still to run.
+  // Heap-allocated: LerStack's layers hold pointers into each other, so
+  // a trial is rebuilt (never moved) when a load fails.
   std::unique_ptr<LerTrial> preloaded;
   if (durable && start_trial < options.runs &&
       journal::file_exists(checkpoint_path)) {
@@ -353,217 +305,169 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
         result.windows_resumed = active->windows();
         preloaded = std::move(active);
       }
-      // A checkpoint for an earlier (already journaled) trial is
-      // stale, not corrupt: the journal won the race; start clean.
+      // A checkpoint for any other trial is stale, not corrupt: an
+      // earlier trial was journaled after it was written, or a later
+      // trial wrote it while this one was still being journaled.  The
+      // journal wins; start clean.
     } catch (const CheckpointError& error) {
       result.checkpoint_recovered = true;
       result.checkpoint_warning = error.what();
     }
   }
 
-  const auto journal_trial = [&](std::size_t trial,
-                                 const TrialSample& sample) {
-    if (sample.timed_out) {
+  const auto journal_trial = [&](std::size_t trial, const LerRun& run) {
+    if (run.timed_out) {
       ++result.trials_timed_out;
     }
-    samples.push_back(sample);
+    runs.push_back(run);
     if (durable) {
       journal::JournalEntry entry;
       entry.fields["kind"] = "trial";
       entry.fields["trial"] = std::to_string(trial);
       entry.fields["seed"] = std::to_string(seeds[trial]);
-      entry.fields["windows"] = std::to_string(sample.windows);
-      entry.fields["logical_errors"] = std::to_string(sample.logical_errors);
-      entry.fields["saved_gates"] = format_double(sample.saved_gates);
-      entry.fields["saved_slots"] = format_double(sample.saved_slots);
-      entry.fields["timed_out"] = sample.timed_out ? "1" : "0";
+      entry.fields["windows"] = std::to_string(run.windows);
+      entry.fields["logical_errors"] = std::to_string(run.logical_errors);
+      entry.fields["saved_gates"] = format_double(run.saved_gates_fraction);
+      entry.fields["saved_slots"] = format_double(run.saved_slots_fraction);
+      entry.fields["timed_out"] = run.timed_out ? "1" : "0";
       if (options.config.supervise) {
-        entry.fields["recovered"] = std::to_string(sample.faults_recovered);
-        entry.fields["episodes"] = std::to_string(sample.fault_episodes);
+        entry.fields["recovered"] = std::to_string(run.faults_recovered);
+        entry.fields["episodes"] = std::to_string(run.fault_episodes);
       }
       if (options.config.deadline.any()) {
-        entry.fields["overruns"] = std::to_string(sample.deadline_overruns);
-        entry.fields["skipped_decodes"] =
-            std::to_string(sample.decodes_skipped);
+        entry.fields["overruns"] = std::to_string(run.deadline_overruns);
+        entry.fields["skipped_decodes"] = std::to_string(run.decodes_skipped);
       }
       log->append(entry);
-      std::remove(checkpoint_path.c_str());
     }
   };
 
+  // The one trial loop: executor task i runs trial start_trial + i to
+  // completion with its seed-chain seed, and the executor's sequenced
+  // commit makes this thread the single journal writer, appending trial
+  // i only once trials 0..i-1 are appended — so the journal bytes are
+  // the same for every jobs value.  On interrupt, tasks abandon at the
+  // next window boundary; completed-but-unjournaled trials past the
+  // frontier are discarded (their deterministic re-run on resume
+  // reproduces them exactly), and the frontier trial's partial state
+  // becomes the checkpoint.  Typed errors escaping a trial or a journal
+  // append rethrow on this thread — the executor's contract.
+  //
+  // Trials keep their LCG seed-chain seeds (`seeds[trial]`), not the
+  // executor's splitmix64 task seeds, so journals stay byte-compatible
+  // with every earlier campaign.
   const std::size_t trials_left =
       options.runs > start_trial ? options.runs - start_trial : 0;
-  const std::size_t jobs = std::min(resolve_jobs(options.jobs),
+  const std::size_t jobs = std::min(exec::resolve_jobs(options.jobs),
                                     std::max<std::size_t>(trials_left, 1));
-  if (jobs <= 1) {
-    // --- Sequential engine (jobs == 1) ------------------------------
-    const auto stop_requested = [&options](std::size_t windows_this_call) {
-      if (options.stop != nullptr && *options.stop != 0) {
-        return true;
-      }
-      return options.interrupt_after_windows != 0 &&
-             windows_this_call >= options.interrupt_after_windows;
-    };
+  // Periodic mid-trial checkpoints need one trial in flight at a time:
+  // with several, the one checkpoint file would hold whichever trial
+  // wrote last, not the first unjournaled one.
+  const std::size_t checkpoint_every =
+      durable && jobs == 1 ? options.checkpoint_every_windows : 0;
 
-    std::size_t windows_this_call = 0;
-    for (std::size_t trial = start_trial; trial < options.runs; ++trial) {
-      LerConfig config = options.config;
-      config.seed = seeds[trial];
-      auto active = (trial == start_trial && preloaded)
-                        ? std::move(preloaded)
-                        : std::make_unique<LerTrial>(config);
+  struct TrialOutcome {
+    LerRun run;
+    std::unique_ptr<LerTrial> partial;  ///< set when the trial abandoned
+  };
 
-      const Clock::time_point trial_start = Clock::now();
-      bool timed_out = false;
-      std::size_t windows_since_checkpoint = 0;
-      while (!active->done()) {
-        if (stop_requested(windows_this_call)) {
-          result.interrupted = true;
-          break;
-        }
-        if (config.timeout_per_trial_ms != 0 &&
-            elapsed_ms(trial_start) >= config.timeout_per_trial_ms) {
-          timed_out = true;
-          break;
-        }
-        active->step();
-        ++windows_this_call;
-        ++windows_since_checkpoint;
-        if (durable && options.checkpoint_every_windows != 0 &&
-            windows_since_checkpoint >= options.checkpoint_every_windows) {
-          write_trial_checkpoint(checkpoint_path, trial, *active);
-          windows_since_checkpoint = 0;
-        }
-      }
-      if (result.interrupted) {
-        // Drain: the current window finished; persist the trial mid-way
-        // so the resumed campaign continues from this exact state.
-        if (durable) {
-          write_trial_checkpoint(checkpoint_path, trial, *active);
-        }
-        break;
-      }
-
-      LerRun run = active->result();
-      run.timed_out = timed_out;
-      journal_trial(trial, sample_from_run(run, timed_out));
+  std::atomic<std::size_t> windows_total{0};
+  exec::RunOptions run_options;
+  run_options.seed = options.config.seed;
+  run_options.stop = [&options, &windows_total]() {
+    if (options.stop != nullptr && *options.stop != 0) {
+      return true;
     }
-  } else {
-    // --- Parallel engine (jobs > 1): the unified executor -----------
-    // Task i runs trial start_trial + i to completion with its
-    // deterministic seed-chain seed; the executor's sequenced commit
-    // buffer makes this thread the single journal writer, appending
-    // trial i only once trials 0..i-1 are appended, so the journal
-    // byte stream is identical to the sequential engine's.  On
-    // interrupt, tasks abandon at the next window boundary; completed-
-    // but-unjournaled trials past the frontier are discarded (their
-    // deterministic re-run on resume reproduces them exactly), and the
-    // frontier trial's partial state becomes the checkpoint.  Typed
-    // errors escaping a trial rethrow on this thread, lowest trial
-    // first — the executor's contract.
-    //
-    // Trials keep their legacy LCG seed-chain seeds (`seeds[trial]`),
-    // not the executor's splitmix64 task seeds, so journals stay
-    // byte-compatible with every campaign since PR 3.
-    struct TrialOutcome {
-      TrialSample sample;
-      std::unique_ptr<LerTrial> partial;  ///< set when the trial abandoned
-    };
+    return options.interrupt_after_windows != 0 &&
+           windows_total.load(std::memory_order_relaxed) >=
+               options.interrupt_after_windows;
+  };
 
-    std::atomic<std::size_t> windows_total{0};
-    exec::RunOptions run_options;
-    run_options.seed = options.config.seed;
-    run_options.stop = [&options, &windows_total]() {
-      if (options.stop != nullptr && *options.stop != 0) {
+  const std::function<exec::TaskResult<TrialOutcome>(const exec::TaskContext&)>
+      task = [&](const exec::TaskContext& ctx) {
+        exec::TaskResult<TrialOutcome> out;
+        const std::size_t trial = start_trial + ctx.index();
+        LerConfig config = options.config;
+        config.seed = seeds[trial];
+        auto active = (trial == start_trial && preloaded)
+                          ? std::move(preloaded)
+                          : std::make_unique<LerTrial>(config);
+        const Clock::time_point trial_start = Clock::now();
+        std::size_t windows_since_checkpoint = 0;
+        bool timed_out = false;
+        while (!active->done()) {
+          if (ctx.cancelled()) {
+            out.status = exec::TaskStatus::kAbandoned;
+            out.value.partial = std::move(active);
+            return out;
+          }
+          if (config.timeout_per_trial_ms != 0 &&
+              elapsed_ms(trial_start) >= config.timeout_per_trial_ms) {
+            timed_out = true;
+            break;
+          }
+          active->step();
+          windows_total.fetch_add(1, std::memory_order_relaxed);
+          if (checkpoint_every != 0 &&
+              ++windows_since_checkpoint >= checkpoint_every) {
+            write_trial_checkpoint(checkpoint_path, trial, *active);
+            windows_since_checkpoint = 0;
+          }
+        }
+        out.value.run = active->result();
+        out.value.run.timed_out = timed_out;
+        return out;
+      };
+
+  const std::function<bool(std::size_t, TrialOutcome&&)> commit =
+      [&](std::size_t index, TrialOutcome&& outcome) {
+        journal_trial(start_trial + index, outcome.run);
         return true;
-      }
-      return options.interrupt_after_windows != 0 &&
-             windows_total.load(std::memory_order_relaxed) >=
-                 options.interrupt_after_windows;
-    };
+      };
 
-    const std::function<exec::TaskResult<TrialOutcome>(
-        const exec::TaskContext&)>
-        task = [&](const exec::TaskContext& ctx) {
-          exec::TaskResult<TrialOutcome> out;
-          const std::size_t trial = start_trial + ctx.index();
-          LerConfig config = options.config;
-          config.seed = seeds[trial];
-          auto active = (trial == start_trial && preloaded)
-                            ? std::move(preloaded)
-                            : std::make_unique<LerTrial>(config);
-          const Clock::time_point trial_start = Clock::now();
-          bool timed_out = false;
-          while (!active->done()) {
-            if (ctx.cancelled()) {
-              out.status = exec::TaskStatus::kAbandoned;
-              out.value.partial = std::move(active);
-              return out;
-            }
-            if (config.timeout_per_trial_ms != 0 &&
-                elapsed_ms(trial_start) >= config.timeout_per_trial_ms) {
-              timed_out = true;
-              break;
-            }
-            active->step();
-            windows_total.fetch_add(1, std::memory_order_relaxed);
-          }
-          out.value.sample = sample_from_run(active->result(), timed_out);
-          return out;
-        };
+  const std::function<void(std::size_t, exec::FrontierKind, TrialOutcome*)>
+      frontier = [&](std::size_t index, exec::FrontierKind kind,
+                     TrialOutcome* partial) {
+        if (durable && kind == exec::FrontierKind::kAbandoned &&
+            partial != nullptr && partial->partial) {
+          write_trial_checkpoint(checkpoint_path, start_trial + index,
+                                 *partial->partial);
+        }
+      };
 
-    const std::function<bool(std::size_t, TrialOutcome&&)> commit =
-        [&](std::size_t index, TrialOutcome&& outcome) {
-          journal_trial(start_trial + index, outcome.sample);
-          return true;
-        };
-
-    const std::function<void(std::size_t, exec::FrontierKind,
-                             TrialOutcome*)>
-        frontier = [&](std::size_t index, exec::FrontierKind kind,
-                       TrialOutcome* partial) {
-          if (durable && kind == exec::FrontierKind::kAbandoned &&
-              partial != nullptr && partial->partial) {
-            write_trial_checkpoint(checkpoint_path, start_trial + index,
-                                   *partial->partial);
-          }
-        };
-
-    exec::Executor pool(jobs);
-    const exec::RunReport run_report = pool.run_ordered<TrialOutcome>(
-        trials_left, run_options, task, commit, frontier);
-    result.interrupted = run_report.cancelled;
+  exec::Executor pool(jobs);
+  result.interrupted =
+      pool.run_ordered<TrialOutcome>(trials_left, run_options, task, commit,
+                                     frontier)
+          .cancelled;
+  if (durable && !result.interrupted) {
+    // Every trial is journaled; the last periodic checkpoint is stale.
+    std::remove(checkpoint_path.c_str());
   }
 
-  result.trials_completed = samples.size();
-  for (const TrialSample& sample : samples) {
-    result.faults_recovered += sample.faults_recovered;
-    result.fault_episodes += sample.fault_episodes;
-    result.deadline_overruns += sample.deadline_overruns;
-    result.decodes_skipped += sample.decodes_skipped;
-  }
+  result.trials_completed = runs.size();
   LerPoint point;
   point.physical_error_rate = options.config.physical_error_rate;
   double saved_gates = 0.0;
   double saved_slots = 0.0;
-  for (const TrialSample& sample : samples) {
-    const double ler =
-        sample.windows == 0 ? 0.0
-                            : static_cast<double>(sample.logical_errors) /
-                                  static_cast<double>(sample.windows);
-    point.ler_samples.push_back(ler);
-    point.window_samples.push_back(static_cast<double>(sample.windows));
-    saved_gates += sample.saved_gates;
-    saved_slots += sample.saved_slots;
+  for (const LerRun& run : runs) {
+    result.faults_recovered += run.faults_recovered;
+    result.fault_episodes += run.fault_episodes;
+    result.deadline_overruns += run.deadline_overruns;
+    result.decodes_skipped += run.decodes_skipped;
+    point.ler_samples.push_back(run.ler());
+    point.window_samples.push_back(static_cast<double>(run.windows));
+    saved_gates += run.saved_gates_fraction;
+    saved_slots += run.saved_slots_fraction;
   }
-  if (!samples.empty()) {
+  if (!runs.empty()) {
     const stats::Summary ler = stats::summarize(point.ler_samples);
     const stats::Summary windows = stats::summarize(point.window_samples);
     point.mean_ler = ler.mean;
     point.stddev_ler = ler.stddev;
     point.window_cv = windows.coefficient_of_variation();
-    point.saved_gates = saved_gates / static_cast<double>(samples.size());
-    point.saved_slots = saved_slots / static_cast<double>(samples.size());
+    point.saved_gates = saved_gates / static_cast<double>(runs.size());
+    point.saved_slots = saved_slots / static_cast<double>(runs.size());
   }
   result.point = point;
   return result;
@@ -584,7 +488,10 @@ std::size_t env_size_t(const char* name, std::size_t fallback) {
   if (value == nullptr || *value == '\0') {
     return fallback;
   }
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+  if (const std::optional<std::uint64_t> count = cli::parse_count(value)) {
+    return static_cast<std::size_t>(*count);
+  }
+  throw Error(std::string(name) + " is not a count: '" + value + "'");
 }
 
 BenchScale bench_scale_from_env() {

@@ -113,9 +113,6 @@ class LerTrial {
   int expected_sign_ = +1;
 };
 
-/// Execute one LER run (honors config.timeout_per_trial_ms).
-[[nodiscard]] LerRun run_ler(const LerConfig& config);
-
 /// Aggregate of several runs at one physical error rate.
 struct LerPoint {
   double physical_error_rate = 0.0;
@@ -128,17 +125,14 @@ struct LerPoint {
   double saved_slots = 0.0;
 };
 
-/// Run `runs` independent repetitions at one physical error rate.
-/// `jobs` > 1 fans the trials out over a worker pool; results are
-/// bit-identical to jobs == 1 because every trial is fully determined
-/// by its seed-chain seed and collected into its trial-indexed slot
-/// (timed-out trials excepted: the watchdog is wall-clock).
+/// Run `runs` independent repetitions at one physical error rate: an
+/// in-memory run_ler_campaign.  The trials run on `jobs` executor
+/// workers (0 = hardware_concurrency); results are bit-identical for
+/// every jobs value because every trial is fully determined by its
+/// seed-chain seed and committed in trial order (timed-out trials
+/// excepted: the watchdog is wall-clock).
 [[nodiscard]] LerPoint run_ler_point(LerConfig config, std::size_t runs,
                                      std::size_t jobs = 1);
-
-/// Resolve a --jobs value: 0 means "auto" (hardware_concurrency, at
-/// least 1); anything else passes through.
-[[nodiscard]] std::size_t resolve_jobs(std::size_t jobs) noexcept;
 
 /// The deterministic per-trial seed chain used by run_ler_point and the
 /// campaign engine: trial i runs with the i+1'th iterate of this LCG
@@ -159,19 +153,23 @@ struct CampaignOptions {
   std::size_t checkpoint_every_windows = 0;
   /// Cooperative stop flag (SIGINT/SIGTERM handler target).  When it
   /// becomes nonzero the campaign finishes the current window, writes a
-  /// checkpoint and the journal tail, and returns interrupted=true.
+  /// checkpoint of the trial it stopped (none when the stop lands
+  /// between two trials) and the journal tail, and returns
+  /// interrupted=true.
   const volatile std::sig_atomic_t* stop = nullptr;
   /// Test hook: behave as if the stop flag fired after this many
   /// windows executed in this call (0 = off).
   std::size_t interrupt_after_windows = 0;
-  /// Worker threads running trials (1 = the classic sequential engine,
-  /// 0 = hardware_concurrency).  Trials keep their deterministic
-  /// seed-chain seeds, land in trial-indexed slots, and are journaled
-  /// in trial order by the coordinating thread, so the journal and the
-  /// aggregate statistics are bit-identical for every jobs value.
-  /// With jobs > 1 the periodic mid-trial checkpoint is written only
-  /// when the campaign is interrupted (for the lowest unfinished
-  /// trial); completed-trial durability is unchanged.
+  /// Executor workers running trials (0 = hardware_concurrency).  Every
+  /// jobs value runs the same loop: trials keep their deterministic
+  /// seed-chain seeds and are journaled in trial order by the calling
+  /// thread, so the journal and the aggregate statistics are
+  /// bit-identical for every jobs value.  Periodic mid-trial
+  /// checkpoints need one trial in flight, so they are written only
+  /// when the campaign runs one trial at a time (jobs = 1, or one
+  /// trial left); otherwise the checkpoint is written only when the
+  /// campaign is interrupted (for the lowest unfinished trial).
+  /// Completed-trial durability is the same for every value.
   std::size_t jobs = 1;
 };
 
@@ -223,7 +221,9 @@ struct BenchScale {
 
 [[nodiscard]] BenchScale bench_scale_from_env();
 
-/// Environment helper with default.
+/// Environment helper with default: the count in variable `name`, or
+/// `fallback` when it is unset or empty.  Throws qpf::Error when it is
+/// set to anything but decimal digits (a sign, junk, or overflow).
 [[nodiscard]] std::size_t env_size_t(const char* name, std::size_t fallback);
 
 }  // namespace qpf::bench

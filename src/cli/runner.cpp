@@ -23,6 +23,7 @@
 #include "arch/validating_layer.h"
 #include "circuit/error.h"
 #include "circuit/qasm.h"
+#include "cli/args.h"
 #include "journal/run_journal.h"
 #include "journal/snapshot.h"
 #include "qcu/compiler.h"
@@ -33,12 +34,17 @@ namespace qpf::cli {
 
 namespace {
 
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
+/// Parse a count option's value into `out`; a malformed value sets
+/// `error` (naming `argument`) and returns false.
+template <typename Count>
+bool read_count(const std::string& argument, const std::string& value,
+                Count& out, std::string& error) {
+  const std::optional<std::uint64_t> count = parse_count(value);
+  if (!count) {
+    error = "bad value in '" + argument + "'";
     return false;
   }
-  value = argument.substr(prefix.size());
+  out = static_cast<Count>(*count);
   return true;
 }
 
@@ -832,15 +838,21 @@ std::optional<RunnerOptions> parse_arguments(
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--shots=", value)) {
-      options.shots = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.shots, error)) {
+        return std::nullopt;
+      }
       if (options.shots == 0) {
         error = "shots must be positive";
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--seed=", value)) {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.seed, error)) {
+        return std::nullopt;
+      }
     } else if (consume_prefix(argument, "--slots=", value)) {
-      options.patch_slots = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.patch_slots, error)) {
+        return std::nullopt;
+      }
     } else if (consume_prefix(argument, "--classical-fault-rate=", value)) {
       try {
         options.classical_fault_rate = std::stod(value);
@@ -873,7 +885,9 @@ std::optional<RunnerOptions> parse_arguments(
       }
       options.checkpoint_dir = value;
     } else if (consume_prefix(argument, "--checkpoint-every=", value)) {
-      options.checkpoint_every = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.checkpoint_every, error)) {
+        return std::nullopt;
+      }
     } else if (consume_prefix(argument, "--resume=", value)) {
       if (value.empty()) {
         error = "--resume needs a directory";
@@ -886,14 +900,17 @@ std::optional<RunnerOptions> parse_arguments(
       options.checkpoint_dir = value;
       options.resume = true;
     } else if (consume_prefix(argument, "--timeout-per-trial=", value)) {
-      options.timeout_per_trial_ms =
-          std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.timeout_per_trial_ms, error)) {
+        return std::nullopt;
+      }
       if (options.timeout_per_trial_ms == 0) {
         error = "--timeout-per-trial must be positive";
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--debug-timeout-every=", value)) {
-      options.debug_timeout_every = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.debug_timeout_every, error)) {
+        return std::nullopt;
+      }
       if (options.debug_timeout_every == 0) {
         error = "--debug-timeout-every must be positive";
         return std::nullopt;
@@ -912,7 +929,9 @@ std::optional<RunnerOptions> parse_arguments(
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--chaos-seed=", value)) {
-      options.chaos.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.chaos.seed, error)) {
+        return std::nullopt;
+      }
       chaos_tuning_given = true;
     } else if (consume_prefix(argument, "--chaos-gap=", value)) {
       const std::size_t colon = value.find(':');
@@ -920,10 +939,12 @@ std::optional<RunnerOptions> parse_arguments(
         error = "--chaos-gap needs MIN:MAX";
         return std::nullopt;
       }
-      options.chaos.min_gap =
-          std::strtoull(value.substr(0, colon).c_str(), nullptr, 10);
-      options.chaos.max_gap =
-          std::strtoull(value.substr(colon + 1).c_str(), nullptr, 10);
+      if (!read_count(argument, value.substr(0, colon), options.chaos.min_gap,
+                      error) ||
+          !read_count(argument, value.substr(colon + 1),
+                      options.chaos.max_gap, error)) {
+        return std::nullopt;
+      }
       if (options.chaos.min_gap == 0 ||
           options.chaos.min_gap > options.chaos.max_gap) {
         error = "--chaos-gap needs 0 < MIN <= MAX (got '" + value + "')";
@@ -969,7 +990,9 @@ std::optional<RunnerOptions> parse_arguments(
       }
     } else if (consume_prefix(argument, "--chaos-burst=", value)) {
       chaos_tuning_given = true;
-      options.chaos.burst_length = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_count(argument, value, options.chaos.burst_length, error)) {
+        return std::nullopt;
+      }
       if (options.chaos.burst_length == 0) {
         error = "--chaos-burst must be positive";
         return std::nullopt;

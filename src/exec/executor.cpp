@@ -338,6 +338,24 @@ RunReport Executor::run_erased(std::size_t tasks, const RunOptions& options,
   // Planted bug 15 (executor-commit-reorder) deliberately breaks the
   // property by committing in completion-arrival order instead.
   const bool reorder = plant::bug(15);
+  // A commit hook that throws a qpf::Error (e.g. a journal append
+  // failing with ENOSPC) is handled like a task error: the run is
+  // cancelled and drained, and the error rethrows on this thread once
+  // no worker can still touch the run.  It is always the lowest-index
+  // error, since every index below it committed.
+  std::exception_ptr commit_error;
+  const auto commit = [&](std::size_t index) {
+    try {
+      return hooks.commit_one(index);
+    } catch (const Error&) {
+      commit_error = std::current_exception();
+    } catch (const std::exception& e) {
+      abort_on_foreign_exception("a commit hook", e.what());
+    } catch (...) {
+      abort_on_foreign_exception("a commit hook", nullptr);
+    }
+    return false;  // cancels the run like any refusing commit
+  };
   std::size_t next = 0;  // frontier: first index not committed
   Mark frontier_mark = detail::kPending;
   {
@@ -354,7 +372,7 @@ RunReport Executor::run_erased(std::size_t tasks, const RunOptions& options,
         const std::size_t index = run.arrivals.front();
         run.arrivals.pop_front();
         lock.unlock();
-        const bool keep = hooks.commit_one(index);
+        const bool keep = commit(index);
         lock.lock();
         ++report.committed;
         ++next;
@@ -371,7 +389,7 @@ RunReport Executor::run_erased(std::size_t tasks, const RunOptions& options,
           break;  // abandoned / skipped / error: the commit frontier
         }
         lock.unlock();
-        const bool keep = hooks.commit_one(next);
+        const bool keep = commit(next);
         lock.lock();
         ++next;
         ++report.committed;
@@ -402,6 +420,9 @@ RunReport Executor::run_erased(std::size_t tasks, const RunOptions& options,
     im.run_exited.wait(lock, [&] { return im.run_entrants == 0; });
   }
 
+  if (commit_error) {
+    std::rethrow_exception(commit_error);
+  }
   if (run.any_error) {
     // The lowest-index parked error is the deterministic choice: it is
     // the first error an equivalent sequential run would have hit.

@@ -36,6 +36,11 @@
 //     the process with a diagnostic: swallowing an unknown exception
 //     could deadlock the commit sequence, and handing it to another
 //     thread would lose its type.  Typed errors are the API;
+//   - a commit hook that throws a qpf::Error is handled like a task
+//     error: the run is cancelled and drained, then that error (the
+//     lowest-index one, since everything below it committed) rethrows
+//     on the caller's thread and the frontier hook does not fire.
+//     Anything else thrown from commit aborts, as it does for a task;
 //   - cancellation (a task returning kAbandoned, ctx.cancel(), the
 //     external stop callback, or commit returning false) stops the
 //     commit sequence at a *frontier*: the first index whose result

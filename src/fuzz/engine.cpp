@@ -71,9 +71,9 @@ void append_json_string(std::ostream& out, const std::string& s) {
 
 /// Verdict of one oracle application, with the failure fully prepared
 /// (shrunk, reproducer rendered) when it failed.  Building the failure
-/// next to the oracle run keeps shrinking inside the worker on the
-/// parallel path — shrinking is deterministic, so the committed report
-/// stays byte-identical to the sequential engine's.
+/// next to the oracle run keeps shrinking inside the worker — shrinking
+/// is deterministic, so the committed report does not depend on which
+/// worker shrank it.
 struct OracleRecord {
   const OracleSpec* spec = nullptr;
   /// Exclusive oracle: not run yet; the committing thread runs it.
@@ -137,8 +137,8 @@ struct CaseRecord {
 
 /// Fold one oracle record into the report in commit order.  Returns
 /// false when the max_failures cutoff fired — the caller must stop
-/// committing anything further, exactly like the sequential engine's
-/// mid-case return.
+/// committing anything further, records later in the same case
+/// included.
 bool commit_record(OracleRecord&& record, FuzzReport& report,
                    const FuzzOptions& options) {
   ++report.oracle_runs;
@@ -155,12 +155,34 @@ bool commit_record(OracleRecord&& record, FuzzReport& report,
          report.failures.size() < options.max_failures;
 }
 
-FuzzReport run_fuzz_parallel(const FuzzOptions& options, std::size_t jobs) {
+}  // namespace
+
+const Circuit& circuit_for(const FuzzCase& fc, CircuitKind kind) {
+  switch (kind) {
+    case CircuitKind::kUnitary:
+      return fc.unitary;
+    case CircuitKind::kUnitaryT:
+      return fc.unitary_t;
+    case CircuitKind::kMeasured:
+      return fc.measured;
+    case CircuitKind::kStream:
+      return fc.stream;
+    case CircuitKind::kNone:
+      break;
+  }
+  return empty_circuit();
+}
+
+FuzzReport run_fuzz(const FuzzOptions& options) {
   FuzzReport report;
   report.seed = options.seed;
   report.cases = options.cases;
 
-  exec::Executor pool(jobs);
+  // Cases fan out over the executor at every jobs value; results commit
+  // in case order on this thread, so the report is byte-identical for
+  // every worker count.
+  exec::Executor pool(std::min(exec::resolve_jobs(options.jobs),
+                               std::max<std::size_t>(options.cases, 1)));
   exec::RunOptions run_options;
   run_options.seed = options.seed;
 
@@ -200,62 +222,13 @@ FuzzReport run_fuzz_parallel(const FuzzOptions& options, std::size_t jobs) {
             apply_oracle(*record.spec, rec.fc, rec.case_seed, index, options);
       }
       if (!commit_record(std::move(record), report, options)) {
-        return false;  // cutoff: discard every later case, like sequential
+        return false;  // cutoff: discard every later case
       }
     }
     return true;
   };
 
   pool.run_ordered<CaseRecord>(options.cases, run_options, task, commit);
-  return report;
-}
-
-}  // namespace
-
-const Circuit& circuit_for(const FuzzCase& fc, CircuitKind kind) {
-  switch (kind) {
-    case CircuitKind::kUnitary:
-      return fc.unitary;
-    case CircuitKind::kUnitaryT:
-      return fc.unitary_t;
-    case CircuitKind::kMeasured:
-      return fc.measured;
-    case CircuitKind::kStream:
-      return fc.stream;
-    case CircuitKind::kNone:
-      break;
-  }
-  return empty_circuit();
-}
-
-FuzzReport run_fuzz(const FuzzOptions& options) {
-  const std::size_t jobs = std::min(exec::resolve_jobs(options.jobs),
-                                    std::max<std::size_t>(options.cases, 1));
-  if (jobs > 1) {
-    return run_fuzz_parallel(options, jobs);
-  }
-
-  FuzzReport report;
-  report.seed = options.seed;
-  report.cases = options.cases;
-
-  for (std::size_t index = 0; index < options.cases; ++index) {
-    const std::uint64_t case_seed = derive_seed(options.seed, index);
-    const FuzzCase fc = generate_case(case_seed, options.generator);
-
-    for (const OracleSpec& spec : all_oracles()) {
-      if (!oracle_enabled(options, spec)) {
-        continue;
-      }
-      if (spec.once_per_run && index != 0) {
-        continue;
-      }
-      if (!commit_record(apply_oracle(spec, fc, case_seed, index, options),
-                         report, options)) {
-        return report;
-      }
-    }
-  }
   return report;
 }
 

@@ -39,10 +39,9 @@ struct FuzzOptions {
   /// Worker threads for the --cases fan-out (0 = auto).  The report is
   /// byte-identical for every value: cases fan out over the shared
   /// deterministic executor, results commit in case order, and the
-  /// max_failures cutoff is applied at commit exactly as the
-  /// sequential engine applies it.  Oracles marked `exclusive` (they
-  /// swap process-global fault backends) run on the committing thread
-  /// only.
+  /// max_failures cutoff is applied at commit.  Oracles marked
+  /// `exclusive` (they swap process-global fault backends) run on the
+  /// committing thread only.
   std::size_t jobs = 1;
   GeneratorOptions generator{};
   OracleTuning tuning{};

@@ -1553,7 +1553,7 @@ const std::vector<OracleSpec>& all_oracles() {
       {"lut-window", CircuitKind::kNone, lut_window_adapter, false},
       {"serve-codec", CircuitKind::kStream, check_serve_codec, false},
       // io-fault and net-fault swap process-global fault backends in;
-      // the parallel engine must never run them concurrently.
+      // the engine must never run two of them concurrently.
       {"io-fault", CircuitKind::kUnitary, check_io_fault, false, true},
       {"net-fault", CircuitKind::kUnitary, check_net_fault, false, true},
       {"executor-determinism", CircuitKind::kNone,

@@ -174,8 +174,9 @@ struct OracleSpec {
   /// Run once per engine invocation instead of once per case.
   bool once_per_run = false;
   /// Touches process-global state (fault-injection backends, chdir-like
-  /// ambient fixtures).  The parallel engine runs exclusive oracles on
-  /// the commit thread only, never concurrently with anything.
+  /// ambient fixtures).  The engine runs exclusive oracles on its commit
+  /// thread only, one at a time in case order, while the workers run
+  /// only oracles that touch no process-global state.
   bool exclusive = false;
 };
 

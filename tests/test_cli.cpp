@@ -1,6 +1,9 @@
 // Tests for the qpf_run command-line library (cli/runner.h).
 #include "cli/runner.h"
 
+#include <sys/wait.h>
+
+#include "cli/args.h"
 #include "journal/run_journal.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +11,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -238,6 +242,47 @@ TEST(CliToolTest, UnparsableProgramExitsTwoWithLineInfo) {
   EXPECT_NE(diagnostic.find("line 2"), std::string::npos);
   EXPECT_EQ(std::count(diagnostic.begin(), diagnostic.end(), '\n'), 1);
   std::remove(path);
+}
+
+TEST(CliArgsTest, ParseCountAcceptsOnlyDecimalDigitsInRange) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("42"), 42u);
+  EXPECT_EQ(parse_count("18446744073709551615"), 18446744073709551615ull);
+  EXPECT_EQ(parse_count("65535", 65535), 65535u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_count(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_count("65536", 65535).has_value());
+  EXPECT_THROW((void)count_arg("-1"), std::invalid_argument);
+}
+
+TEST(CliToolTest, MalformedCountsExitTwo) {
+  for (const char* flag : {"--shots=-1", "--seed=7x", "--slots= 3",
+                           "--checkpoint-every=18446744073709551616",
+                           "--chaos-gap=1:-2"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_tool({flag, "a.qasm"}, out, err), 2) << flag;
+    EXPECT_NE(err.str().find("bad value"), std::string::npos) << flag;
+  }
+}
+
+/// Exit status of the built qpf_ler run with `arguments` (output
+/// discarded).  Callers pass only values the parser rejects, so no
+/// campaign ever starts.
+int qpf_ler_exit(const std::string& arguments) {
+  const std::string command =
+      std::string(QPF_LER_TOOL) + " " + arguments + " >/dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CliToolTest, QpfLerRejectsANegativeRunCountWithExitTwo) {
+  // A negative count must stop at the parser: read as 2^64-1, "-1"
+  // would have the campaign allocate that many trial seeds.
+  EXPECT_EQ(qpf_ler_exit("--runs=-1 --max-windows=0"), 2);
+  EXPECT_EQ(qpf_ler_exit("--runs=3x --max-windows=0"), 2);
+  EXPECT_EQ(qpf_ler_exit("--jobs=-1 --max-windows=0"), 2);
 }
 
 TEST(CliToolTest, SuccessfulRunExitsZero) {

@@ -11,9 +11,11 @@
 // --gtest_repeat (tools/check_sanitize.sh).
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -453,6 +455,76 @@ TEST(ExecutorTest, PoolSurvivesAThrowingRunAndRunsAgain) {
         return true;
       });
   EXPECT_EQ(out, expected_transcript(5, 77));
+}
+
+TEST(ExecutorTest, ThrowingCommitCancelsDrainsAndRethrowsOnTheCaller) {
+  // A commit hook failing (a journal append hitting ENOSPC, say) must
+  // not unwind past the drain: spinning tasks wait for the
+  // cancellation, and none may still be running when the error
+  // reaches the caller.  With one worker, tasks run in index order, so
+  // every task past 0 spins — the worker starts task 1 while the caller
+  // commits task 0.  With three workers only tasks 1 and 2 spin, which
+  // leaves a worker free for task 0 whatever deque it landed on.  The
+  // spin is bounded so a missing cancellation fails instead of hanging.
+  for (const std::size_t jobs : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+    const std::size_t spinners_end = jobs == 1 ? 6 : 3;
+    Executor pool(jobs);
+    RunOptions options;
+    options.seed = 3;
+    std::atomic<int> running{0};
+    std::atomic<bool> frontier_fired{false};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    try {
+      pool.run_ordered<int>(
+          6, options,
+          [&](const TaskContext& ctx) {
+            ++running;
+            TaskResult<int> result;
+            if (ctx.index() >= 1 && ctx.index() < spinners_end) {
+              while (!ctx.cancelled() &&
+                     std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+              }
+              result.status = TaskStatus::kAbandoned;
+            }
+            --running;
+            return result;
+          },
+          [](std::size_t index, int&&) -> bool {
+            throw IoError("journal",
+                          "append failed at " + std::to_string(index));
+          },
+          [&frontier_fired](std::size_t, FrontierKind, int*) {
+            frontier_fired = true;
+          });
+      ADD_FAILURE() << "the commit hook's qpf::Error never rethrew";
+    } catch (const IoError& error) {
+      EXPECT_NE(std::string(error.what()).find("append failed at 0"),
+                std::string::npos);
+      EXPECT_EQ(running.load(), 0) << "a task outlived the rethrow";
+    }
+    EXPECT_FALSE(frontier_fired.load());
+    EXPECT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the spinning tasks never saw the cancellation";
+
+    // The same pool runs the next batch normally.
+    Transcript out;
+    RunOptions again;
+    again.seed = 11;
+    pool.run_ordered<std::uint64_t>(
+        7, again,
+        [](const TaskContext& ctx) {
+          return TaskResult<std::uint64_t>{TaskStatus::kDone,
+                                           splitmix64(ctx.seed())};
+        },
+        [&out](std::size_t index, std::uint64_t&& value) {
+          out.emplace_back(index, value);
+          return true;
+        });
+    EXPECT_EQ(out, expected_transcript(7, 11));
+  }
 }
 
 // --- service mode -----------------------------------------------------

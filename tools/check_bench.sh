@@ -14,6 +14,7 @@
 set -euo pipefail
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
+. "$repo_root/tools/check_lib.sh"
 build_dir=${1:-"$repo_root/build"}
 bench_dir="$build_dir/bench"
 
@@ -135,31 +136,14 @@ EOF
 # a live server and validate the qpf-serve-bench-v2 key set, including
 # the robustness counters (retries, reconnects, dedup_hits,
 # lease_expirations) that bench_compare.py deliberately does not gate.
-serve="$build_dir/tools/qpf_serve"
+qpf_serve="$build_dir/tools/qpf_serve"
 serve_load="$build_dir/tools/qpf_serve_load"
-if [ ! -x "$serve" ] || [ ! -x "$serve_load" ]; then
-    echo "check_bench.sh: $serve / $serve_load not built" >&2
+if [ ! -x "$qpf_serve" ] || [ ! -x "$serve_load" ]; then
+    echo "check_bench.sh: $qpf_serve / $serve_load not built" >&2
     exit 1
 fi
 echo "check_bench.sh: qpf_serve_load report schema"
-"$serve" --port=0 > "$workdir/serve.log" 2> "$workdir/serve.err" &
-server_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port=$(sed -n 's/^listening on port \([0-9][0-9]*\)$/\1/p' \
-               "$workdir/serve.log" | head -n 1)
-    [ -n "$port" ] && break
-    if ! kill -0 "$server_pid" 2> /dev/null; then
-        echo "check_bench.sh: qpf_serve died during startup" >&2
-        cat "$workdir/serve.err" >&2
-        exit 1
-    fi
-    sleep 0.05
-done
-if [ -z "$port" ]; then
-    echo "check_bench.sh: qpf_serve never reported its port" >&2
-    exit 1
-fi
+start_server "$workdir/serve.log"
 "$serve_load" --port="$port" --sessions=4 --requests=4 --retry --json \
     > "$workdir/serve-bench.json" 2> "$workdir/serve-load.log" || {
     status=$?
@@ -167,9 +151,7 @@ fi
     tail -20 "$workdir/serve-load.log" >&2
     exit "$status"
 }
-kill -TERM "$server_pid" 2> /dev/null || true
-wait "$server_pid" 2> /dev/null || true
-server_pid=""
+stop_server
 python3 - "$workdir/serve-bench.json" <<'EOF'
 import json, sys
 path = sys.argv[1]

@@ -31,6 +31,7 @@
 set -euo pipefail
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
+. "$repo_root/tools/check_lib.sh"
 build_dir=${1:-"$repo_root/build"}
 qpf_run="$build_dir/tools/qpf_run"
 qpf_ler="$build_dir/tools/qpf_ler"
@@ -58,11 +59,6 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT
 trap 'exit 143' TERM
-
-fail() {
-    echo "check_faultfs.sh: $*" >&2
-    exit 1
-}
 
 # Run "$@" expecting the fault-injected SIGKILL (exit 137).  Any other
 # outcome means the kill point never fired or the process failed on
@@ -190,45 +186,10 @@ done
 echo "  qpf_ler: kill@k and sticky fail@k swept over $n_ler durable ops," \
     "every recovery bit-identical"
 
-# --- serve helpers (check_serve.sh idiom) ---------------------------
-# start_server <logfile> [flags...]: ephemeral port, exports
-# $server_pid and $port.  $faultfs (may be empty) reaches only the
-# server, never the load generator.
+# --- serve (start_server/stop_server from check_lib.sh) -------------
+# $faultfs (may be empty) reaches only the server, never the load
+# generator.
 faultfs=""
-start_server() {
-    local log="$1"
-    shift
-    if [ -n "$faultfs" ]; then
-        env QPF_FAULTFS="$faultfs" "$qpf_serve" --port=0 "$@" \
-            >"$log" 2>"$log.err" &
-    else
-        "$qpf_serve" --port=0 "$@" >"$log" 2>"$log.err" &
-    fi
-    server_pid=$!
-    port=""
-    local tries=0
-    while [ -z "$port" ]; do
-        port=$(sed -n 's/^listening on port \([0-9][0-9]*\)$/\1/p' "$log" \
-            2>/dev/null || true)
-        [ -n "$port" ] && break
-        tries=$((tries + 1))
-        if [ "$tries" -gt 100 ]; then
-            cat "$log.err" >&2
-            fail "server never reported its port"
-        fi
-        kill -0 "$server_pid" 2>/dev/null || {
-            cat "$log.err" >&2
-            fail "server died on startup"
-        }
-        sleep 0.1
-    done
-}
-
-stop_server() {
-    kill -TERM "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null && server_exit=0 || server_exit=$?
-    server_pid=""
-}
 
 # --- 3. qpf_serve: kill at every durable op of the drain ------------
 state="$workdir/serve_state"

@@ -33,6 +33,7 @@
 set -euo pipefail
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
+. "$repo_root/tools/check_lib.sh"
 build_dir=${1:-"$repo_root/build"}
 mode=${2:-quick}
 qpf_serve="$build_dir/tools/qpf_serve"
@@ -59,40 +60,6 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT
 trap 'exit 143' TERM
-
-# start_server <logfile> [extra flags...]: launch on an ephemeral port,
-# export $server_pid and $port.
-start_server() {
-    log="$1"
-    shift
-    "$qpf_serve" --port=0 "$@" >"$log" 2>"$log.err" &
-    server_pid=$!
-    port=""
-    tries=0
-    while [ -z "$port" ]; do
-        port=$(sed -n 's/^listening on port \([0-9][0-9]*\)$/\1/p' "$log" \
-            2>/dev/null || true)
-        [ -n "$port" ] && break
-        tries=$((tries + 1))
-        if [ "$tries" -gt 100 ]; then
-            echo "check_netchaos.sh: server never reported its port" >&2
-            cat "$log.err" >&2
-            exit 1
-        fi
-        kill -0 "$server_pid" 2>/dev/null || {
-            echo "check_netchaos.sh: server died on startup" >&2
-            cat "$log.err" >&2
-            exit 1
-        }
-        sleep 0.1
-    done
-}
-
-stop_server() {
-    kill -TERM "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null && server_exit=0 || server_exit=$?
-    server_pid=""
-}
 
 # json_counter <file> <key>: pull one integer out of the --json summary.
 json_counter() {

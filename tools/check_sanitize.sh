@@ -23,10 +23,10 @@ mode=${QPF_SANITIZE:-ON}
 
 if [ "$mode" = "thread" ]; then
   build_dir=${1:-"$repo_root/build-tsan"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|LerGolden|FastPath|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|CampaignGolden|LerStack|LerGolden|FastPath|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
 else
   build_dir=${1:-"$repo_root/build-sanitize"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|LerGolden|FastPath|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|CampaignGolden|LerGolden|FastPath|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
 fi
 
 cmake -B "$build_dir" -S "$repo_root" -DQPF_SANITIZE="$mode"

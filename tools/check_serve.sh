@@ -21,6 +21,7 @@
 set -euo pipefail
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
+. "$repo_root/tools/check_lib.sh"
 build_dir=${1:-"$repo_root/build"}
 qpf_serve="$build_dir/tools/qpf_serve"
 qpf_load="$build_dir/tools/qpf_serve_load"
@@ -46,40 +47,6 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT
 trap 'exit 143' TERM
-
-# start_server <logfile> [extra flags...]: launch on an ephemeral port,
-# export $server_pid and $port.
-start_server() {
-    log="$1"
-    shift
-    "$qpf_serve" --port=0 "$@" >"$log" 2>"$log.err" &
-    server_pid=$!
-    port=""
-    tries=0
-    while [ -z "$port" ]; do
-        port=$(sed -n 's/^listening on port \([0-9][0-9]*\)$/\1/p' "$log" \
-            2>/dev/null || true)
-        [ -n "$port" ] && break
-        tries=$((tries + 1))
-        if [ "$tries" -gt 100 ]; then
-            echo "check_serve.sh: server never reported its port" >&2
-            cat "$log.err" >&2
-            exit 1
-        fi
-        kill -0 "$server_pid" 2>/dev/null || {
-            echo "check_serve.sh: server died on startup" >&2
-            cat "$log.err" >&2
-            exit 1
-        }
-        sleep 0.1
-    done
-}
-
-stop_server() {
-    kill -TERM "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null && server_exit=0 || server_exit=$?
-    server_pid=""
-}
 
 sessions=9      # 8 healthy + 1 poisoned in the perturbed run
 requests=12

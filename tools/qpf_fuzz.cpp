@@ -24,25 +24,19 @@
 
 #include "circuit/bug_plant.h"
 #include "circuit/error.h"
+#include "cli/args.h"
 #include "cli/stdio_guard.h"
 #include "fuzz/engine.h"
 #include "fuzz/seeds.h"
 
 namespace {
 
+using qpf::cli::consume_prefix;
+using qpf::cli::count_arg;
 using qpf::fuzz::FuzzOptions;
 using qpf::fuzz::FuzzReport;
 using qpf::fuzz::OracleOutcome;
 using qpf::fuzz::OracleSpec;
-
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
-}
 
 int usage(std::ostream& out) {
   out << "usage: qpf_fuzz [options]\n"
@@ -177,17 +171,17 @@ int main(int argc, char** argv) {
       } else if (arg == "--list-bugs") {
         return list_bugs();
       } else if (consume_prefix(arg, "--seed=", value)) {
-        options.seed = std::stoull(value);
+        options.seed = count_arg(value);
       } else if (consume_prefix(arg, "--cases=", value)) {
-        options.cases = std::stoull(value);
+        options.cases = count_arg(value);
       } else if (consume_prefix(arg, "--oracle=", value)) {
         split_names(value, options.oracles);
       } else if (consume_prefix(arg, "--max-failures=", value)) {
-        options.max_failures = std::stoull(value);
+        options.max_failures = count_arg(value);
       } else if (consume_prefix(arg, "--jobs=", value)) {
-        options.jobs = std::stoull(value);
+        options.jobs = count_arg(value);
       } else if (consume_prefix(arg, "--shots=", value)) {
-        options.tuning.shots = std::stoull(value);
+        options.tuning.shots = count_arg(value);
       } else if (consume_prefix(arg, "--minutes=", value)) {
         minutes = std::stod(value);
       } else if (consume_prefix(arg, "--plant=", value)) {

@@ -16,24 +16,19 @@
 #include <vector>
 
 #include "circuit/error.h"
+#include "cli/args.h"
 #include "cli/stdio_guard.h"
 #include "io/file_ops.h"
 #include "ler_common.h"
 
 namespace {
 
+using qpf::cli::consume_prefix;
+using qpf::cli::count_arg;
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop(int) { g_stop = 1; }
-
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
-}
 
 int usage(std::ostream& out) {
   out << "usage: qpf_ler [options]\n"
@@ -78,13 +73,13 @@ int main(int argc, char** argv) {
       if (consume_prefix(argument, "--per=", value)) {
         options.config.physical_error_rate = std::stod(value);
       } else if (consume_prefix(argument, "--runs=", value)) {
-        options.runs = std::stoull(value);
+        options.runs = count_arg(value);
       } else if (consume_prefix(argument, "--errors=", value)) {
-        options.config.target_logical_errors = std::stoull(value);
+        options.config.target_logical_errors = count_arg(value);
       } else if (consume_prefix(argument, "--max-windows=", value)) {
-        options.config.max_windows = std::stoull(value);
+        options.config.max_windows = count_arg(value);
       } else if (consume_prefix(argument, "--seed=", value)) {
-        options.config.seed = std::stoull(value);
+        options.config.seed = count_arg(value);
       } else if (consume_prefix(argument, "--basis=", value)) {
         if (value == "z") {
           options.config.basis = qpf::qec::CheckType::kZ;
@@ -99,11 +94,11 @@ int main(int argc, char** argv) {
       } else if (consume_prefix(argument, "--state-dir=", value)) {
         options.state_dir = value;
       } else if (consume_prefix(argument, "--checkpoint-every=", value)) {
-        options.checkpoint_every_windows = std::stoull(value);
+        options.checkpoint_every_windows = count_arg(value);
       } else if (consume_prefix(argument, "--timeout-per-trial=", value)) {
-        options.config.timeout_per_trial_ms = std::stoull(value);
+        options.config.timeout_per_trial_ms = count_arg(value);
       } else if (consume_prefix(argument, "--jobs=", value)) {
-        options.jobs = qpf::bench::resolve_jobs(std::stoull(value));
+        options.jobs = count_arg(value);
       } else if (argument == "--help") {
         usage(std::cout);
         return 0;

@@ -22,10 +22,14 @@
 #include <string>
 
 #include "circuit/error.h"
+#include "cli/args.h"
 #include "io/file_ops.h"
 #include "serve/server.h"
 
 namespace {
+
+using qpf::cli::consume_prefix;
+using qpf::cli::count_arg;
 
 // Signal handlers may only poke the self-pipe; the fd is published
 // before handlers are installed.
@@ -36,15 +40,6 @@ void on_signal(int) {
     const char byte = 'S';
     [[maybe_unused]] auto n = write(g_shutdown_fd, &byte, 1);
   }
-}
-
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
 }
 
 int usage(std::ostream& out) {
@@ -83,25 +78,25 @@ int main(int argc, char** argv) {
       if (arg == "--help" || arg == "-h") {
         return usage(std::cout);
       } else if (consume_prefix(arg, "--port=", value)) {
-        options.port = static_cast<std::uint16_t>(std::stoul(value));
+        options.port = static_cast<std::uint16_t>(count_arg(value, 65535));
       } else if (consume_prefix(arg, "--state-dir=", value)) {
         options.state_dir = value;
       } else if (consume_prefix(arg, "--max-sessions=", value)) {
-        options.max_sessions = std::stoull(value);
+        options.max_sessions = count_arg(value);
       } else if (consume_prefix(arg, "--queue-depth=", value)) {
-        options.queue_depth = std::stoull(value);
+        options.queue_depth = count_arg(value);
       } else if (consume_prefix(arg, "--quota-requests=", value)) {
-        options.quota.max_requests = std::stoull(value);
+        options.quota.max_requests = count_arg(value);
       } else if (consume_prefix(arg, "--quota-bytes=", value)) {
-        options.quota.max_bytes = std::stoull(value);
+        options.quota.max_bytes = count_arg(value);
       } else if (consume_prefix(arg, "--threads=", value)) {
-        options.executor_threads = std::stoull(value);
+        options.executor_threads = count_arg(value);
       } else if (consume_prefix(arg, "--idle-evict-ms=", value)) {
-        options.idle_evict_ms = std::stoull(value);
+        options.idle_evict_ms = count_arg(value);
       } else if (consume_prefix(arg, "--write-timeout-ms=", value)) {
-        options.write_timeout_ms = std::stoull(value);
+        options.write_timeout_ms = count_arg(value);
       } else if (consume_prefix(arg, "--lease-ms=", value)) {
-        options.lease_ms = std::stoull(value);
+        options.lease_ms = count_arg(value);
       } else {
         std::cerr << "qpf_serve: unknown argument '" << arg << "'\n";
         return usage(std::cerr);

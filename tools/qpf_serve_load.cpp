@@ -32,12 +32,15 @@
 #include <vector>
 
 #include "circuit/error.h"
+#include "cli/args.h"
 #include "io/file_ops.h"
 #include "serve/client.h"
 #include "serve/retry_client.h"
 
 namespace {
 
+using qpf::cli::consume_prefix;
+using qpf::cli::count_arg;
 using qpf::serve::Client;
 using qpf::serve::RetryClient;
 using qpf::serve::RetryOptions;
@@ -256,15 +259,6 @@ double percentile(std::vector<double> values, double p) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
-}
-
 int usage(std::ostream& out) {
   out << "usage: qpf_serve_load --port=N [options]\n"
          "  --sessions=N        concurrent sessions (default 8)\n"
@@ -307,19 +301,19 @@ int main(int argc, char** argv) {
       } else if (arg == "--retry") {
         options.retry = true;
       } else if (consume_prefix(arg, "--heartbeat-ms=", value)) {
-        options.heartbeat_ms = std::stoull(value);
+        options.heartbeat_ms = count_arg(value);
       } else if (consume_prefix(arg, "--port=", value)) {
-        options.port = static_cast<std::uint16_t>(std::stoul(value));
+        options.port = static_cast<std::uint16_t>(count_arg(value, 65535));
       } else if (consume_prefix(arg, "--sessions=", value)) {
-        options.sessions = std::stoull(value);
+        options.sessions = count_arg(value);
       } else if (consume_prefix(arg, "--requests=", value)) {
-        options.requests = std::stoull(value);
+        options.requests = count_arg(value);
       } else if (consume_prefix(arg, "--poison=", value)) {
-        options.poison = std::stoull(value);
+        options.poison = count_arg(value);
       } else if (consume_prefix(arg, "--qubits=", value)) {
-        options.qubits = std::stoull(value);
+        options.qubits = count_arg(value);
       } else if (consume_prefix(arg, "--hold-ms=", value)) {
-        options.hold_ms = std::stoull(value);
+        options.hold_ms = count_arg(value);
       } else if (consume_prefix(arg, "--prefix=", value)) {
         options.prefix = value;
       } else if (consume_prefix(arg, "--transcript-dir=", value)) {
